@@ -85,6 +85,7 @@ def _insert_prepared(graph, src, dst, w) -> int:
     if graph.weighted and w is None:
         w = np.zeros(src.shape[0], dtype=np.int64)
     added = vd.arena.insert(src, dst, w if graph.weighted else None)
+    vd.debug_check()
     if added.any():
         vd.add_edge_counts(src[added])
     if graph.directed:
@@ -108,6 +109,7 @@ def delete_edges(graph, src, dst) -> int:
     if not graph.directed:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     removed = graph._dict.arena.delete(src, dst)
+    graph._dict.debug_check()
     if removed.any():
         graph._dict.sub_edge_counts(src[removed])
     return int(removed.sum())

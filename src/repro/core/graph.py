@@ -230,6 +230,7 @@ class DynamicGraph(GraphBackend):
             vertex_ids = np.flatnonzero(self._dict.arena.table_base != -1)
         self._bump_version()
         self._dict.arena.flush_tombstones(vertex_ids)
+        self._dict.debug_check()
 
     def stats(self) -> ArenaStats:
         """Aggregate slab statistics over all existing tables (Figure 2)."""

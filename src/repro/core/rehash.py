@@ -64,4 +64,5 @@ def rehash_vertices(graph, vertex_ids, load_factor: float | None = None) -> None
     vd.arena.create_tables(vertex_ids, buckets)
     if dst.size:
         vd.arena.insert(vertex_ids[owners], dst, w if graph.weighted else None)
+    vd.debug_check()
     # Counts are unchanged: the live set was preserved exactly.

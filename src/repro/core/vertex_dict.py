@@ -22,7 +22,9 @@ incrementally by the same calls, so :meth:`total_edges` and
 through the methods below; writing ``edge_count`` / ``active`` directly
 desynchronizes the aggregates.  Setting :attr:`debug_invariants` (or the
 ``REPRO_DEBUG_COUNTERS`` environment variable) re-verifies the aggregates
-against the full-array sums after every mutation — an O(capacity) check
+against the full-array sums, and the slab pool's empty-lane-suffix
+invariant (see :mod:`repro.slabhash.constants`), after every counter
+mutation and every mutating slab batch — an O(capacity + slabs) check
 reserved for tests and debugging.
 """
 
@@ -88,7 +90,7 @@ class VertexDictionary:
         grown_active = np.zeros(new_cap, dtype=bool)
         grown_active[: self.active.shape[0]] = self.active
         self.active = grown_active
-        self._check()
+        self.debug_check()
 
     def ensure_tables(self, vertex_ids: np.ndarray, expected_degree=None, load_factor=0.7):
         """Create hash tables for any of ``vertex_ids`` lacking one.
@@ -123,7 +125,7 @@ class VertexDictionary:
         uniq, cnt = np.unique(sources, return_counts=True)
         self.edge_count[uniq] += cnt
         self._total_edges += int(sources.size)
-        self._check()
+        self.debug_check()
 
     def sub_edge_counts(self, sources: np.ndarray) -> None:
         """Debit one edge per occurrence of ``sources`` (dups allowed)."""
@@ -132,13 +134,13 @@ class VertexDictionary:
         uniq, cnt = np.unique(sources, return_counts=True)
         self.edge_count[uniq] -= cnt
         self._total_edges -= int(sources.size)
-        self._check()
+        self.debug_check()
 
     def increment_edge_count(self, vertex: int, amount: int) -> None:
         """Scalar counter adjustment (the WCWS reference engine's path)."""
         self.edge_count[vertex] += amount
         self._total_edges += int(amount)
-        self._check()
+        self.debug_check()
 
     def zero_edge_counts(self, vertex_ids: np.ndarray) -> int:
         """Zero the given vertices' counters; returns the edges dropped.
@@ -150,7 +152,7 @@ class VertexDictionary:
         dropped = int(self.edge_count[vertex_ids].sum())
         self.edge_count[vertex_ids] = 0
         self._total_edges -= dropped
-        self._check()
+        self.debug_check()
         return dropped
 
     def activate(self, vertex_ids: np.ndarray) -> None:
@@ -161,7 +163,7 @@ class VertexDictionary:
         uniq = np.unique(fresh)
         self.active[uniq] = True
         self._num_active += int(uniq.size)
-        self._check()
+        self.debug_check()
 
     def deactivate(self, vertex_ids: np.ndarray) -> np.ndarray:
         """Mark vertices inactive; returns the unique ids actually flipped.
@@ -175,7 +177,7 @@ class VertexDictionary:
         if uniq.size:
             self.active[uniq] = False
             self._num_active -= int(uniq.size)
-        self._check()
+        self.debug_check()
         return uniq
 
     # -- aggregate reads (O(1)) ------------------------------------------------
@@ -189,10 +191,11 @@ class VertexDictionary:
     # -- debug invariants ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify the incremental aggregates against the full-array sums.
+        """Verify the incremental aggregates against the full-array sums,
+        and that every allocated slab's empty lanes form a suffix.
 
-        O(capacity); run automatically after each mutation only when
-        :attr:`debug_invariants` is set.
+        O(capacity + slabs); run automatically after each mutation only
+        when :attr:`debug_invariants` is set.
         """
         actual_edges = int(self.edge_count.sum())
         actual_active = int(np.count_nonzero(self.active))
@@ -204,7 +207,13 @@ class VertexDictionary:
             raise AssertionError(
                 f"num_active counter {self._num_active} != array count {actual_active}"
             )
+        self.arena.pool.check_empty_suffix()
 
-    def _check(self) -> None:
+    def debug_check(self) -> None:
+        """Run :meth:`check_invariants` when :attr:`debug_invariants` is set.
+
+        Called after every counter mutation here and, by the graph
+        operations, after every mutating slab batch.
+        """
         if self.debug_invariants:
             self.check_invariants()

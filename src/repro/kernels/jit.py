@@ -3,9 +3,12 @@
 Each public function mirrors a :mod:`repro.kernels.reference` kernel with
 the same signature, the same mutations, and bit-identical outputs; the
 inner loops are ``@numba.njit``-compiled single passes that fuse the
-gather, hit scan, empty-lane scan, rank-in-group lane claim, and scatter
-into one traversal of the pending items — no NumPy temporaries, no
-per-round boolean matrices.
+gather, hit scan, rank-in-group lane claim, and scatter into one traversal
+of the pending items — no NumPy temporaries, no per-round boolean
+matrices.  Like the reference tier they rely on the empty-lane-suffix
+invariant (see :mod:`repro.kernels.reference`): a lane scan stops at the
+first empty lane, and an insert group claims lanes from the first empty
+one onward.
 
 When numba is not installed the ``@njit`` decorator degrades to the
 identity, leaving plain-Python loop implementations: far too slow for real
@@ -74,75 +77,55 @@ _STATUS_DONE = np.uint8(STATUS_DONE)
 _STATUS_ADVANCE = np.uint8(STATUS_ADVANCE)
 
 
+#: ``_probe_slab`` result: the slab ends in an empty lane without the key.
+_MISS_EMPTY = -1
+#: ``_probe_slab`` result: the slab is full and does not hold the key.
+_MISS_FULL = -2
+
+
 @njit(cache=True)
-def _insert_round_map(pool_keys, pool_values, cur, k, v, status):
+def _probe_slab(pool_keys, slab, key):
+    """Hit lane of ``key`` in ``slab``, else ``_MISS_EMPTY``/``_MISS_FULL``.
+
+    Empties are a lane suffix, so the scan stops at the first empty lane.
+    """
+    for lane in range(pool_keys.shape[1]):
+        kk = pool_keys[slab, lane]
+        if kk == key:
+            return lane
+        if kk == _EMPTY32:
+            return _MISS_EMPTY
+    return _MISS_FULL
+
+
+@njit(cache=True)
+def _insert_round(pool_keys, pool_values, weighted, cur, k, v, status):
     bc = pool_keys.shape[1]
     m = cur.shape[0]
-    empty_lanes = np.empty(bc, dtype=np.int64)
     i = 0
     while i < m:
         slab = cur[i]
         j = i
         while j < m and cur[j] == slab:
             j += 1
-        # Scan the slab once at group entry: pre-round empty lanes in
-        # ascending order (the rank-th unplaced item takes the rank-th).
+        # Count the slab's empty lane suffix once at group entry; the
+        # used-th unplaced item of the group claims lane bc - n_empty + used.
         n_empty = 0
-        for lane in range(bc):
-            if pool_keys[slab, lane] == _EMPTY32:
-                empty_lanes[n_empty] = lane
-                n_empty += 1
+        while n_empty < bc and pool_keys[slab, bc - 1 - n_empty] == _EMPTY32:
+            n_empty += 1
         used = 0
         for t in range(i, j):
-            key = k[t]
-            hit_lane = -1
-            for lane in range(bc):
-                if pool_keys[slab, lane] == key:
-                    hit_lane = lane
-                    break
+            hit_lane = _probe_slab(pool_keys, slab, k[t])
             if hit_lane >= 0:
-                pool_values[slab, hit_lane] = v[t]
+                if weighted:
+                    pool_values[slab, hit_lane] = v[t]
                 status[t] = _STATUS_HIT
             elif used < n_empty:
-                lane = empty_lanes[used]
+                lane = bc - n_empty + used
                 used += 1
-                pool_keys[slab, lane] = key
-                pool_values[slab, lane] = v[t]
-                status[t] = _STATUS_DONE
-            else:
-                status[t] = _STATUS_ADVANCE
-        i = j
-
-
-@njit(cache=True)
-def _insert_round_set(pool_keys, cur, k, status):
-    bc = pool_keys.shape[1]
-    m = cur.shape[0]
-    empty_lanes = np.empty(bc, dtype=np.int64)
-    i = 0
-    while i < m:
-        slab = cur[i]
-        j = i
-        while j < m and cur[j] == slab:
-            j += 1
-        n_empty = 0
-        for lane in range(bc):
-            if pool_keys[slab, lane] == _EMPTY32:
-                empty_lanes[n_empty] = lane
-                n_empty += 1
-        used = 0
-        for t in range(i, j):
-            key = k[t]
-            hit_lane = -1
-            for lane in range(bc):
-                if pool_keys[slab, lane] == key:
-                    hit_lane = lane
-                    break
-            if hit_lane >= 0:
-                status[t] = _STATUS_HIT
-            elif used < n_empty:
-                pool_keys[slab, empty_lanes[used]] = key
-                used += 1
+                pool_keys[slab, lane] = k[t]
+                if weighted:
+                    pool_values[slab, lane] = v[t]
                 status[t] = _STATUS_DONE
             else:
                 status[t] = _STATUS_ADVANCE
@@ -152,48 +135,46 @@ def _insert_round_set(pool_keys, cur, k, status):
 def insert_round_map(pool_keys, pool_values, cur, k, v):
     """One insert round (map variant); see the reference tier's contract."""
     status = np.empty(cur.shape[0], dtype=np.uint8)
-    _insert_round_map(pool_keys, pool_values, cur, k, v, status)
+    _insert_round(pool_keys, pool_values, True, cur, k, v, status)
     return status
 
 
 def insert_round_set(pool_keys, cur, k):
     """One insert round (set variant); see the reference tier's contract."""
     status = np.empty(cur.shape[0], dtype=np.uint8)
-    _insert_round_set(pool_keys, cur, k, status)
+    # weighted=False: the value arguments are never read.
+    no_values = np.empty((0, 0), dtype=np.uint32)
+    _insert_round(pool_keys, no_values, False, cur, k, k, status)
     return status
 
 
 @njit(cache=True)
-def _search_round(pool_keys, cur, k, status, hit_lanes):
-    bc = pool_keys.shape[1]
+def _probe_round(pool_keys, cur, k, tombstone, status, hit_lanes):
     for t in range(cur.shape[0]):
-        slab = cur[t]
-        key = k[t]
-        hit_lane = -1
-        has_empty = False
-        for lane in range(bc):
-            kk = pool_keys[slab, lane]
-            if kk == key:
-                hit_lane = lane
-                break
-            if kk == _EMPTY32:
-                has_empty = True
-        if hit_lane >= 0:
+        lane = _probe_slab(pool_keys, cur[t], k[t])
+        if lane >= 0:
+            if tombstone:
+                pool_keys[cur[t], lane] = _TOMBSTONE32
             status[t] = _STATUS_HIT
-            hit_lanes[t] = hit_lane
-        elif has_empty:
+            hit_lanes[t] = lane
+        elif lane == _MISS_EMPTY:
             status[t] = _STATUS_DONE
         else:
             status[t] = _STATUS_ADVANCE
 
 
-def search_round_map(pool_keys, pool_values, cur, k):
-    """One search round (map variant); returns ``(status, values)``."""
+def _probe(pool_keys, cur, k, tombstone):
     m = cur.shape[0]
     status = np.empty(m, dtype=np.uint8)
     hit_lanes = np.full(m, -1, dtype=np.int64)
-    _search_round(pool_keys, cur, k, status, hit_lanes)
-    vals = np.zeros(m, dtype=np.int64)
+    _probe_round(pool_keys, cur, k, tombstone, status, hit_lanes)
+    return status, hit_lanes
+
+
+def search_round_map(pool_keys, pool_values, cur, k):
+    """One search round (map variant); returns ``(status, values)``."""
+    status, hit_lanes = _probe(pool_keys, cur, k, False)
+    vals = np.zeros(cur.shape[0], dtype=np.int64)
     got = hit_lanes >= 0
     vals[got] = pool_values[cur[got], hit_lanes[got]]
     return status, vals
@@ -201,42 +182,12 @@ def search_round_map(pool_keys, pool_values, cur, k):
 
 def search_round_set(pool_keys, cur, k):
     """One search round (set variant); returns the status array only."""
-    m = cur.shape[0]
-    status = np.empty(m, dtype=np.uint8)
-    hit_lanes = np.full(m, -1, dtype=np.int64)
-    _search_round(pool_keys, cur, k, status, hit_lanes)
-    return status
-
-
-@njit(cache=True)
-def _delete_round(pool_keys, cur, k, status):
-    bc = pool_keys.shape[1]
-    for t in range(cur.shape[0]):
-        slab = cur[t]
-        key = k[t]
-        hit_lane = -1
-        has_empty = False
-        for lane in range(bc):
-            kk = pool_keys[slab, lane]
-            if kk == key:
-                hit_lane = lane
-                break
-            if kk == _EMPTY32:
-                has_empty = True
-        if hit_lane >= 0:
-            pool_keys[slab, hit_lane] = _TOMBSTONE32
-            status[t] = _STATUS_HIT
-        elif has_empty:
-            status[t] = _STATUS_DONE
-        else:
-            status[t] = _STATUS_ADVANCE
+    return _probe(pool_keys, cur, k, False)[0]
 
 
 def delete_round(pool_keys, cur, k):
     """One tombstone-delete round; mutates hit lanes, returns statuses."""
-    status = np.empty(cur.shape[0], dtype=np.uint8)
-    _delete_round(pool_keys, cur, k, status)
-    return status
+    return _probe(pool_keys, cur, k, True)[0]
 
 
 @njit(cache=True)

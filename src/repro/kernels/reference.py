@@ -2,10 +2,20 @@
 
 Each function is one *fused* whole-round (or whole-walk) pass over the
 structure-of-arrays slab arena or a sorted CSR: a single gather feeds hit
-detection, the empty-lane scan, rank-in-group lane claiming, and the
-scatter writes, with no per-item Python and no re-sorting between rounds
-(the insert driver maintains group contiguity across rounds instead — see
-:mod:`repro.slabhash.insert`).
+detection, lane claiming, and the scatter writes, with no per-item Python
+and no re-sorting between rounds (the insert driver maintains group
+contiguity across rounds instead — see :mod:`repro.slabhash.insert`).
+
+The probe rounds rely on the **empty-lane-suffix invariant** (stated in
+:mod:`repro.slabhash.constants` and checked in debug mode by
+:meth:`repro.slabhash.arena.SlabPool.check_empty_suffix`): in every
+allocated slab the ``EMPTY_KEY`` lanes form a contiguous suffix.  So a slab
+with ``n_empty`` empty lanes has its first empty lane at ``Bc - n_empty``
+and the ``rank``-th unplaced item of a same-slab group claims lane
+``Bc - n_empty + rank`` (the warp ballot/ffs of SlabHash made arithmetic),
+and a slab holds an empty lane at all iff its *last* lane is empty — the
+search/delete miss test.  Inserts claim empties in rank order and deletes
+write tombstones, so the rounds preserve the invariant they rely on.
 
 Kernels here are **pure with respect to the device model**: they never
 touch :mod:`repro.gpusim` counters.  Drivers charge the model from the
@@ -62,8 +72,9 @@ _MASK32 = np.int64(0xFFFFFFFF)
 
 def _insert_round(pool_keys, pool_values, cur, k, v):
     """Shared map/set insert round over group-contiguous pending items."""
-    m = cur.shape[0]
-    rows = pool_keys[cur]  # (m, Bc) gather = m slab reads (driver charges)
+    m, bc = cur.shape[0], pool_keys.shape[1]
+    # (m, Bc) gather = m slab reads (the driver charges them).
+    rows = np.take(pool_keys, cur, axis=0)
     hit = rows == k[:, None]
     hit_any = hit.any(axis=1)
     status = np.full(m, STATUS_ADVANCE, dtype=np.uint8)
@@ -79,25 +90,21 @@ def _insert_round(pool_keys, pool_values, cur, k, v):
     rest = np.flatnonzero(~hit_any)
     if rest.size:
         # Equal slabs are contiguous (driver invariant), so rank-in-group
-        # needs no sort.  Reuse this round's gathered rows for the
-        # empty-lane scan instead of re-reading the pool.
+        # needs no sort.
         rest_slabs = cur[rest]
         rank = rank_within_group(rest_slabs)
-        empty = rows[rest] == _EMPTY32  # (r, Bc)
-        n_empty = empty.sum(axis=1)
+        n_empty = np.count_nonzero(rows[rest] == _EMPTY32, axis=1)
         fits = rank < n_empty
 
-        # (2) claim the rank-th empty lane of the shared slab.  The cumsum
-        # lane selection runs only over the rows that actually fit.
+        # (2) claim the rank-th empty lane of the shared slab: empties are
+        # a suffix, so it sits at Bc - n_empty + rank.
         if fits.any():
-            empty_f = empty[fits]
-            csum = np.cumsum(empty_f, axis=1)
-            lane_match = empty_f & (csum == (rank[fits] + 1)[:, None])
-            lanes = lane_match.argmax(axis=1)
             fit_rows = rest[fits]
-            pool_keys[rest_slabs[fits], lanes] = k[fit_rows]
+            fit_slabs = rest_slabs[fits]
+            lanes = bc - n_empty[fits] + rank[fits]
+            pool_keys[fit_slabs, lanes] = k[fit_rows]
             if pool_values is not None:
-                pool_values[rest_slabs[fits], lanes] = v[fit_rows]
+                pool_values[fit_slabs, lanes] = v[fit_rows]
             status[fit_rows] = STATUS_DONE
     return status
 
@@ -119,16 +126,14 @@ def insert_round_set(pool_keys, cur, k):
 
 def _probe_round(pool_keys, cur, k):
     """Shared hit / empty-terminated probe for search and delete rounds."""
-    rows = pool_keys[cur]
+    rows = np.take(pool_keys, cur, axis=0)
     hit = rows == k[:, None]
     hit_any = hit.any(axis=1)
     status = np.full(cur.shape[0], STATUS_ADVANCE, dtype=np.uint8)
-    rest = np.flatnonzero(~hit_any)
-    if rest.size:
-        # A slab with an empty lane terminates the chain's data region:
-        # the key is provably absent (empties exist only at chain tails).
-        has_empty = (rows[rest] == _EMPTY32).any(axis=1)
-        status[rest[has_empty]] = STATUS_DONE
+    # A slab whose last lane is empty terminates the chain's data region
+    # (empties are a lane suffix, and exist only in chain tails): a key it
+    # does not hold is provably absent.
+    status[~hit_any & (rows[:, -1] == _EMPTY32)] = STATUS_DONE
     return status, hit, hit_any
 
 

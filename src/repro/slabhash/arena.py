@@ -168,6 +168,23 @@ class SlabPool:
     def free_list_size(self) -> int:
         return int(self._free.shape[0])
 
+    def check_empty_suffix(self) -> None:
+        """Raise if an allocated slab holds a key after an empty lane.
+
+        The empty-lane-suffix invariant (see
+        :mod:`repro.slabhash.constants`) that the probe kernels' lane
+        arithmetic and last-lane miss test rely on.  O(pool); run in debug
+        mode only.
+        """
+        empty = self.keys[: self._bump] == KEY_DTYPE(EMPTY_KEY)
+        broken = (empty[:, :-1] & ~empty[:, 1:]).any(axis=1)
+        broken[self._free] = False  # freed slabs hold stale lanes until reuse
+        if broken.any():
+            slab = int(np.flatnonzero(broken)[0])
+            raise AssertionError(
+                f"slab {slab} holds a key after an empty lane: {self.keys[slab].tolist()}"
+            )
+
 
 class SlabArena:
     """Many slab-hash tables sharing one :class:`SlabPool`.

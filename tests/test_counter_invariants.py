@@ -13,6 +13,7 @@ import pytest
 from repro import DynamicGraph
 from repro.core.vertex_dict import VertexDictionary
 from repro.gpusim.wcws import delete_vertices_reference, insert_edges_reference
+from repro.slabhash.constants import EMPTY_KEY
 
 
 def assert_aggregates_exact(g: DynamicGraph):
@@ -110,3 +111,16 @@ def test_debug_mode_catches_desync():
     vd.edge_count[0] = 5  # illegal direct write desyncs the aggregate
     with pytest.raises(AssertionError):
         vd.add_edge_counts(np.array([1]))
+
+
+def test_debug_mode_catches_key_after_empty_lane():
+    """The slab debug check fires on a hand-corrupted slab: an empty lane
+    before a key breaks the suffix the probe kernels' lane arithmetic and
+    last-lane miss test rely on."""
+    g = DynamicGraph(num_vertices=8, weighted=True)
+    g._dict.debug_invariants = True
+    g.insert_edges([0, 0], [1, 2], weights=[5, 6])  # one bucket: lanes 0, 1
+    slab = int(g._dict.arena.table_base[0])
+    g._dict.arena.pool.keys[slab, 0] = EMPTY_KEY
+    with pytest.raises(AssertionError, match="after an empty lane"):
+        g.insert_edges([3], [4], weights=[1])

@@ -3,14 +3,20 @@
 Hypothesis drives random operation sequences (insert / delete / search /
 flush) against both the vectorized arena and a plain Python dict model; at
 every step the live key/value sets, the success masks, and the structural
-tail invariant must agree.  This is the broadest correctness net over the
-paper's core data structure.
+tail invariant must agree.  A second property drives every slab-mutating
+graph operation under both kernel tiers and checks the empty-lane-suffix
+invariant over every allocated slab.  This is the broadest correctness net
+over the paper's core data structure.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coo import COO
+from repro.core.graph import DynamicGraph
+from repro.kernels import use_tier
 from repro.slabhash.arena import SlabArena
 from tests.test_slabhash_arena import check_tail_invariant
 
@@ -137,3 +143,96 @@ def test_reference_scalar_ops_agree_with_kernels(keys):
     _, fk, fv = fast.iterate(np.array([0]))
     _, sk, sv = slow.iterate(np.array([0]))
     assert dict(zip(fk.tolist(), fv.tolist())) == dict(zip(sk.tolist(), sv.tolist()))
+
+
+# -- empty-lane-suffix invariant across the whole slab-mutating surface --------
+
+NV = 48
+# Sources concentrate on three vertices and tables are undersized (load
+# factor 4), so chains run to several slabs in both variants.
+LOAD_FACTOR = 4.0
+# Edge batches are drawn from a seeded generator: hypothesis's own lists
+# stay too short to fill a slab.
+edge_batches = st.tuples(st.integers(0, 2**16), st.integers(1, 120))
+vertex_lists = st.lists(st.integers(0, NV - 1), min_size=1, max_size=4)
+graph_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), edge_batches),
+        st.tuples(st.just("delete"), edge_batches),
+        st.tuples(st.just("flush"), st.none()),
+        st.tuples(st.just("delete_vertices"), vertex_lists),
+        st.tuples(st.just("rehash"), vertex_lists),
+        st.tuples(st.just("bulk_build"), edge_batches),
+        st.tuples(st.just("allocate_vertex_ids"), st.integers(1, 3)),
+    ),
+    max_size=10,
+)
+
+
+def _edge_batch(seed, n, model=None):
+    """``n`` random edges; with a ``model``, ``n`` of its edges join them."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, 3, n)
+    v = rng.integers(0, NV, n)
+    if model:
+        live = np.array(sorted(model), dtype=np.int64)
+        pick = live[rng.integers(0, live.shape[0], n)]
+        u, v = np.concatenate([u, pick[:, 0]]), np.concatenate([v, pick[:, 1]])
+    return u, v, rng.integers(0, 100, u.shape[0])
+
+
+def _apply_graph_op(g, model, op, arg):
+    """Apply one op to the graph and to the ``{(u, v): w}`` oracle."""
+    if op == "insert":
+        u, v, w = _edge_batch(*arg)
+        g.insert_edges(u, v, w if g.weighted else None)
+        model.update(((a, b), c) for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()) if a != b)
+    elif op == "delete":
+        u, v, _ = _edge_batch(*arg, model)
+        g.delete_edges(u, v)
+        for key in zip(u.tolist(), v.tolist()):
+            model.pop(key, None)
+    elif op == "flush":
+        g.flush_tombstones()
+    elif op == "delete_vertices":
+        g.delete_vertices(np.array(arg, dtype=np.int64))
+        for key in [key for key in model if key[0] in arg or key[1] in arg]:
+            del model[key]
+    elif op == "rehash":
+        g.rehash(np.array(sorted(set(arg)), dtype=np.int64))
+    elif op == "bulk_build":
+        # bulk_build needs an empty graph: clear it through vertex deletion,
+        # which leaves cleared base slabs and freed chain slabs to recycle.
+        g.delete_vertices(np.arange(g.vertex_capacity, dtype=np.int64))
+        model.clear()
+        u, v, w = _edge_batch(*arg)
+        g.bulk_build(COO(u, v, NV, weights=w if g.weighted else None))
+        model.update(((a, b), c) for a, b, c in zip(u.tolist(), v.tolist(), w.tolist()) if a != b)
+    elif op == "allocate_vertex_ids":
+        ids = g.allocate_vertex_ids(arg).tolist()
+        assert not any(key[0] in ids or key[1] in ids for key in model)
+
+
+@pytest.mark.parametrize("tier", ["reference", "jit"])
+@pytest.mark.parametrize("weighted", [True, False])
+@given(ops=graph_ops)
+@settings(max_examples=50, deadline=None)
+def test_empty_lane_suffix_holds_under_every_mutation(weighted, tier, ops):
+    """Every slab-mutating operation preserves the empty-lane-suffix
+    invariant the probe kernels rely on, and the edge set tracks a dict
+    oracle, in both kernel tiers."""
+    with use_tier(tier, force=True):
+        g = DynamicGraph(NV, weighted, load_factor=LOAD_FACTOR, reuse_vertex_ids=True)
+        g._dict.debug_invariants = True  # raises at the first bad batch
+        model: dict[tuple[int, int], int] = {}
+        for op, arg in ops:
+            _apply_graph_op(g, model, op, arg)
+            g._dict.arena.pool.check_empty_suffix()
+            coo = g.export_coo()
+            weights = coo.weights if weighted else np.zeros(coo.src.size, np.int64)
+            got = dict(zip(zip(coo.src.tolist(), coo.dst.tolist()), weights.tolist()))
+            if weighted:
+                assert got == model
+            else:
+                assert set(got) == set(model)
+            assert g.num_edges() == len(model)
