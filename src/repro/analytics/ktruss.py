@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.errors import ValidationError
+from repro.util.groupby import segment_positions
 
 __all__ = ["ktruss"]
 
@@ -40,11 +41,7 @@ def _edge_support(
     lens = deg[small]
     starts = row_ptr[small]
     m = int(lens.sum())
-    flat = (
-        np.arange(m, dtype=np.int64)
-        - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-        + np.repeat(starts, lens)
-    )
+    flat = segment_positions(starts, lens)
     w = col_idx[flat].astype(np.int64)
     probe = (np.repeat(big, lens).astype(np.int64) << np.int64(32)) | w
     loc = np.searchsorted(comp, probe)

@@ -31,6 +31,7 @@ import numpy as np
 from repro.analytics.frontier import adjacencies_of, vertex_space
 from repro.analytics.wedges import canonical_edge_keys, closing_wedges, split_keys, symmetric_csr
 from repro.util.errors import ValidationError
+from repro.util.groupby import segment_positions
 
 __all__ = [
     "triangle_count_hash",
@@ -113,11 +114,7 @@ def triangle_count_hash(graph, chunk_size: int = 1 << 22) -> int:
         starts = edge_run_start[sel]
         m = int(lens.sum())
         if m:
-            flat = (
-                np.arange(m, dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-                + np.repeat(starts, lens)
-            )
+            flat = segment_positions(starts, lens)
             probe_dst = nbrs[flat]
             probe_src = np.repeat(big_s[sel], lens)
             other = np.repeat(small_s[sel], lens)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gpusim.counters import get_counters
+from repro.util.groupby import segment_positions
 
 __all__ = ["closing_wedges", "canonical_edge_keys", "symmetric_csr", "split_keys"]
 
@@ -113,11 +114,7 @@ def closing_wedges(
             e = np.empty(0, dtype=np.int64)
             return e, e.copy()
         return 0
-    flat = (
-        np.arange(m, dtype=np.int64)
-        - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-        + np.repeat(starts, lens)
-    )
+    flat = segment_positions(starts, lens)
     w = col_idx[flat].astype(np.int64)
     probe = (np.repeat(big, lens).astype(np.int64) << np.int64(32)) | w
     get_counters().add("sorted_probes", int(probe.size))

@@ -28,6 +28,7 @@ from repro.coo import COO
 from repro.gpusim.counters import get_counters
 from repro.kernels import get_kernels
 from repro.util.errors import ValidationError
+from repro.util.groupby import segment_positions
 
 __all__ = [
     "CSRSnapshot",
@@ -120,11 +121,7 @@ class CSRSnapshot:
         if m == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e.copy(), e.copy()
-        flat = (
-            np.arange(m, dtype=np.int64)
-            - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-            + np.repeat(starts, lens)
-        )
+        flat = segment_positions(starts, lens)
         owner_pos = np.repeat(np.arange(vertex_ids.shape[0], dtype=np.int64), lens)
         dst = self.col_idx[flat]
         w = self.weights[flat] if self.weights is not None else np.zeros(m, dtype=np.int64)
@@ -239,8 +236,11 @@ def merge_csr_delta(
     ``upsert_comp`` / ``delete_comp`` are disjoint, sorted, unique
     composite keys ``(src << 32) | dst``; an upsert replaces the weight of
     an existing edge or inserts a new one, a delete removes the edge if
-    present.  Cost is **O(E + B log E)** stream work — no whole-edge-set
-    sort — and the result is bit-identical to a cold
+    present.  The merge is positional: touched keys are located by one
+    batched binary search (O(B log E)), the output CSR is the base copied
+    once with the new keys written at their final positions (O(E)), and
+    ``row_ptr`` follows from per-row delta counts (O(B + V)) — no
+    whole-edge-set sort, and the result is bit-identical to a cold
     :meth:`CSRSnapshot.from_coo` rebuild of the same live set (both orders
     are the unique-key composite order).
 
@@ -263,10 +263,10 @@ def merge_csr_delta(
         base.num_vertices,
     )
     if merged is None:
-        # Backends export unique live sets — a duplicate composite key in
-        # the base means a broken export_coo; fail loudly instead of
-        # letting searchsorted pair it with a single position.
-        raise ValidationError("merge base contains duplicate (src, dst) keys")
+        # Backends export unique live sets — a duplicate (or out-of-order)
+        # composite key in the base means a broken export_coo; fail loudly
+        # instead of letting searchsorted pair it with a single position.
+        raise ValidationError("merge base contains duplicate or unsorted (src, dst) keys")
     row_ptr, col_idx, weights = merged
     width = 16 if base.weights is not None else 8
     counters.bytes_copied += (base.num_edges + int(col_idx.shape[0])) * width

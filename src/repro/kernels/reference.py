@@ -230,48 +230,78 @@ def sort_window_last(comp, w, is_ins):
 def merge_sorted_csr(
     row_ptr, col_idx, weights, upsert_comp, upsert_weights, delete_comp, num_vertices
 ):
-    """Stream-merge a sorted, disjoint upsert/delete delta into a sorted CSR.
+    """Positionally merge a sorted, disjoint upsert/delete delta into a sorted CSR.
 
     Returns ``(row_ptr, col_idx, weights)`` for the merged edge set, or
     ``None`` when the base contains duplicate composite keys (the driver
-    raises — a duplicate means a broken ``export_coo``).  Pure stream
-    work: O(E + B log E), no whole-edge-set sort.
+    raises — a duplicate means a broken ``export_coo``).  One
+    ``searchsorted`` over the base's composite keys locates every touched
+    key; upserts that hit replace their weight in place, and the surviving
+    base runs and the new keys are written straight to their final
+    positions.  ``row_ptr`` comes from per-row delta counts (O(B) bincount
+    + O(V) cumsum).  Cost: the O(E) copy into the output plus
+    O(B log E + V) — no whole-edge-set sort, no composite output stream.
     """
-    old_deg = np.diff(row_ptr)
-    old_src = np.repeat(np.arange(num_vertices, dtype=np.int64), old_deg)
-    old_comp = (old_src << np.int64(32)) | col_idx
-    if old_comp.size > 1 and not bool(np.all(old_comp[1:] > old_comp[:-1])):
+    row_key = np.arange(num_vertices, dtype=np.int64) << np.int64(32)
+    old_comp = np.repeat(row_key, np.diff(row_ptr)) | col_idx
+    n_old = old_comp.shape[0]
+    if n_old > 1 and not bool(np.all(old_comp[1:] > old_comp[:-1])):
         # searchsorted pairs each touched key with one position, so a
         # duplicated base key would silently survive a delete/upsert.
         return None
-    # Drop every touched key from the old stream: deletes disappear,
-    # upserted keys re-enter from the delta with their new weight.
+    n_up = upsert_comp.shape[0]
     touched = np.concatenate([upsert_comp, delete_comp])
-    keep = np.ones(old_comp.shape[0], dtype=bool)
-    if touched.size and old_comp.size:
-        loc = np.searchsorted(old_comp, touched)
-        safe = np.minimum(loc, old_comp.shape[0] - 1)
-        hit = (loc < old_comp.shape[0]) & (old_comp[safe] == touched)
-        keep[loc[hit]] = False
-    kept_comp = old_comp[keep]
-    total = kept_comp.shape[0] + upsert_comp.shape[0]
-    new_comp = np.empty(total, dtype=np.int64)
-    ins_at = np.searchsorted(kept_comp, upsert_comp) + np.arange(
-        upsert_comp.shape[0], dtype=np.int64
-    )
-    ins_mask = np.zeros(total, dtype=bool)
-    ins_mask[ins_at] = True
-    new_comp[ins_at] = upsert_comp
-    new_comp[~ins_mask] = kept_comp
+    loc = np.searchsorted(old_comp, touched)
+    hit = np.zeros(touched.shape[0], dtype=bool)
+    if n_old:
+        hit = (loc < n_old) & (old_comp[np.minimum(loc, n_old - 1)] == touched)
+    up_hit = hit[:n_up]
+    gone = loc[n_up:][hit[n_up:]]  # base positions deleted (sorted)
+    new = ~up_hit
+    ins_comp = upsert_comp[new]
+    ins_loc = loc[:n_up][new]  # insertion points in the base (sorted)
+    n_ins = ins_comp.shape[0]
+    total = n_old - gone.shape[0] + n_ins
+    # Insert j lands after the base keys below it, minus the deleted ones,
+    # plus the j inserts before it.
+    ins_at = ins_loc - np.searchsorted(gone, ins_loc) + np.arange(n_ins, dtype=np.int64)
+    keep = None
+    if gone.shape[0]:
+        keep = np.ones(n_old, dtype=bool)
+        keep[gone] = False
+    slot = None
+    if n_ins:
+        slot = np.ones(total, dtype=bool)  # output slots the base fills
+        slot[ins_at] = False
+    new_col = _splice(col_idx, keep, slot, ins_at, ins_comp & _MASK32, total)
     new_weights = None
     if weights is not None:
-        new_weights = np.empty(total, dtype=np.int64)
-        new_weights[ins_at] = (
-            upsert_weights
-            if upsert_weights is not None
-            else np.zeros(upsert_comp.shape[0], dtype=np.int64)
-        )
-        new_weights[~ins_mask] = weights[keep]
-    counts = np.bincount(new_comp >> np.int64(32), minlength=num_vertices)
-    new_row_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return new_row_ptr, (new_comp & _MASK32).astype(np.int64), new_weights
+        up_w = upsert_weights
+        if up_w is None:
+            up_w = np.zeros(n_up, dtype=np.int64)
+        new_weights = _splice(weights, keep, slot, ins_at, up_w[new], total)
+        if n_up > n_ins:
+            # Upserts of present keys replace the weight where the base
+            # element landed.
+            at = loc[:n_up][up_hit]
+            at += np.searchsorted(ins_loc, at, side="right") - np.searchsorted(gone, at)
+            new_weights[at] = up_w[up_hit]
+    deg = np.diff(row_ptr) + np.bincount(ins_comp >> np.int64(32), minlength=num_vertices)
+    if gone.shape[0]:
+        deg -= np.bincount(old_comp[gone] >> np.int64(32), minlength=num_vertices)
+    new_row_ptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(deg, out=new_row_ptr[1:])
+    return new_row_ptr, new_col, new_weights
+
+
+def _splice(base, keep, slot, ins_at, ins_vals, total):
+    """``base`` minus the ``~keep`` positions, with ``ins_vals`` written at
+    output positions ``ins_at`` and the survivors in the ``slot`` positions
+    (``keep`` / ``slot`` are None when nothing is dropped / inserted)."""
+    kept = base if keep is None else base[keep]
+    if slot is None:
+        return kept.astype(np.int64, copy=keep is None)  # always a fresh array
+    out = np.empty(total, dtype=np.int64)
+    out[ins_at] = ins_vals
+    out[slot] = kept
+    return out

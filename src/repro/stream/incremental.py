@@ -36,7 +36,10 @@ events into their state at query time:
   region-bounded peeling: on insert-only windows the core can only grow,
   and every newly-qualifying vertex must reach a new edge's source
   through the promoted set, so peeling the reverse-reachable candidate
-  region (with credits for the old core) is exact.  Always equal to
+  region (with credits for the old core) is exact.  The walk follows
+  only candidate-sourced edges, so its reverse index is built over those
+  alone: the repair's host work scales with the affected region, not
+  with |E| log |E|.  Always equal to
   :func:`repro.analytics.kcore_membership` on the live snapshot.
 
 Staleness can never masquerade as freshness: a consumed window must be a
@@ -66,7 +69,7 @@ from repro.api.snapshot import CSRSnapshot, merge_csr_delta
 from repro.eventlog import EdgeBatch, EventLog
 from repro.gpusim.counters import get_counters
 from repro.util.errors import ValidationError
-from repro.util.groupby import last_occurrence_mask
+from repro.util.groupby import last_occurrence_mask, segment_positions
 
 __all__ = [
     "IncrementalAnalytic",
@@ -347,7 +350,8 @@ class IncrementalTriangleCount(IncrementalAnalytic):
     insert-only batch is absorbed in O(E + B log E): the batch reduces to
     canonical keys, membership probes split off the genuinely-new edges,
     :func:`repro.api.snapshot.merge_csr_delta` merges their mirrored
-    orientations into the cached symmetric CSR, and the new edges are
+    orientations into the cached symmetric CSR (the cached key stream
+    takes them at their sorted positions), and the new edges are
     closed through the shared Table VII/IX wedge kernel
     (:func:`repro.analytics.wedges.closing_wedges`).  Each new triangle is
     counted exactly once: a closed wedge is credited to the triangle's
@@ -397,7 +401,9 @@ class IncrementalTriangleCount(IncrementalAnalytic):
         both = np.sort(np.concatenate([(nu << np.int64(32)) | nv, (nv << np.int64(32)) | nu]))
         counters.sorted_elements += int(both.shape[0])  # the O(B log B) delta sort
         merged = merge_csr_delta(self._sym, both, None, np.empty(0, dtype=np.int64))
-        mcomp = (merged.sources() << np.int64(32)) | merged.col_idx
+        # The mirrored keys are all absent from the symmetric key stream,
+        # so it grows by inserting them at their sorted positions.
+        mcomp = np.insert(self._comp, np.searchsorted(self._comp, both), both)
         counters.bytes_copied += merged.num_edges * 8
         edge_of, w = closing_wedges(
             merged.row_ptr, merged.col_idx, mcomp, nu, nv, return_hits=True
@@ -659,9 +665,12 @@ class IncrementalKCore(IncrementalAnalytic):
     window promotes must reach a new edge's source endpoint through the
     promoted set.  Repair therefore peels only the candidate region:
     non-core vertices with live degree ≥ k that reach a seed against the
-    edge direction (one reverse-index build + a region-bounded BFS),
-    with old-core members credited as permanent neighbors.  Survivors
-    join the core; everything else is untouched.
+    edge direction (a reverse index over just the candidates' out-edges
+    + a region-bounded BFS), with old-core members credited as permanent
+    neighbors.  Survivors join the core; everything else is untouched.
+    The device model charges the index build as one stream pass over the
+    edge set (the filter a device would run) and the walk only for the
+    candidate-sourced reverse edges it reads.
 
     Deletions, structural events, gaps, and version-chain breaks rebuild
     cold via :func:`repro.analytics.kcore_membership`, to which
@@ -743,15 +752,19 @@ class IncrementalKCore(IncrementalAnalytic):
         seeds = seeds[candidate[seeds]]
         if seeds.shape[0] == 0:
             return
-        # Reverse index (counting-sort scatter on a device; one pass over
-        # the edge stream) so the cascade can walk edges backwards.
-        src, dst = snap.sources(), snap.col_idx
+        # The walk below admits only candidates, so it only ever follows
+        # edges whose source is a candidate: the reverse index covers just
+        # those.  On a device that is one stream pass over the edges that
+        # keeps candidate-sourced ones, then a scatter by destination; here
+        # the candidates' rows are gathered and the small set sorted.
         counters.kernel_launches += 2
-        counters.bytes_copied += int(src.shape[0]) * 16 + n * 8
-        order = np.argsort(dst, kind="stable")
-        rev_src = src[order]
-        rev_cnt = np.bincount(dst, minlength=n)
-        rev_ptr = np.concatenate([[0], np.cumsum(rev_cnt)]).astype(np.int64)
+        counters.bytes_copied += snap.num_edges * 16 + n * 8
+        cand = np.flatnonzero(candidate)
+        cand_deg = deg[cand]
+        rev_dst = snap.col_idx[segment_positions(snap.row_ptr[cand], cand_deg)]
+        order = np.argsort(rev_dst, kind="stable")
+        rev_dst = rev_dst[order]
+        rev_src = np.repeat(cand, cand_deg)[order]
         # Grow the candidate region: a vertex can only be promoted if it
         # reaches a seed through promoted vertices along out-edges, i.e.
         # the seeds' reverse-reachable candidates.
@@ -759,20 +772,15 @@ class IncrementalKCore(IncrementalAnalytic):
         region[seeds] = True
         frontier = seeds
         while frontier.size:
-            lens = rev_cnt[frontier]
-            starts = rev_ptr[frontier]
+            starts = np.searchsorted(rev_dst, frontier)
+            lens = np.searchsorted(rev_dst, frontier, side="right") - starts
             m = int(lens.sum())
             counters.kernel_launches += 1
             counters.bytes_copied += int(frontier.shape[0]) * 8 + m * 8
             if m == 0:
                 break
-            flat = (
-                np.arange(m, dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
-                + np.repeat(starts, lens)
-            )
-            nbr = rev_src[flat]
-            fresh = np.unique(nbr[candidate[nbr] & ~region[nbr]])
+            nbr = rev_src[segment_positions(starts, lens)]
+            fresh = np.unique(nbr[~region[nbr]])
             region[fresh] = True
             frontier = fresh
         # Peel inside the region, crediting old-core neighbors as

@@ -21,6 +21,7 @@ __all__ = [
     "last_occurrence_mask",
     "rank_within_group",
     "segment_lengths_from_starts",
+    "segment_positions",
     "segmented_sum",
     "sorted_group_ids",
 ]
@@ -62,6 +63,21 @@ def segment_lengths_from_starts(starts: np.ndarray, total: int) -> np.ndarray:
     if starts.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     return np.diff(np.append(starts, total)).astype(np.int64, copy=False)
+
+
+def segment_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the concatenated ranges ``[starts[i], starts[i] + lens[i])``.
+
+    ``segment_positions([5, 0], [2, 3]) == [5, 6, 0, 1, 2]`` — the batched
+    row gather of a CSR (one index per gathered edge, rows in request
+    order).
+    """
+    m = int(lens.sum())
+    return (
+        np.arange(m, dtype=np.int64)
+        - np.repeat(np.concatenate([[0], np.cumsum(lens)[:-1]]), lens)
+        + np.repeat(starts, lens)
+    )
 
 
 def rank_within_group(sorted_keys: np.ndarray) -> np.ndarray:

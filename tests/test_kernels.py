@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import create
 from repro.api.snapshot import CSRSnapshot, merge_csr_delta, merge_event_window
@@ -183,17 +185,29 @@ class TestCounterParity:
         assert_state_equal(ref, jit)
 
     def test_merge_duplicate_base_raises_in_both_tiers(self):
-        bad = CSRSnapshot(
-            row_ptr=np.array([0, 2], dtype=np.int64),
-            col_idx=np.array([5, 5], dtype=np.int64),
-            weights=None,
-            num_vertices=1,
-        )
         empty = np.empty(0, dtype=np.int64)
+
+        def base(row_ptr, col_idx):
+            return CSRSnapshot(
+                row_ptr=np.array(row_ptr, dtype=np.int64),
+                col_idx=np.array(col_idx, dtype=np.int64),
+                weights=None,
+                num_vertices=len(row_ptr) - 1,
+            )
+
+        duplicated = base([0, 2], [5, 5])
+        descending = base([0, 2], [5, 3])
+        # Row 0 ends and row 1 starts with column 4: still strictly
+        # increasing composite keys, so a valid base.
+        seam = base([0, 2, 4], [1, 4, 4, 6])
         for tier in ("reference", "jit"):
             with use_tier(tier, force=True):
-                with pytest.raises(ValidationError, match="duplicate"):
-                    merge_csr_delta(bad, empty, None, empty)
+                for bad in (duplicated, descending):
+                    with pytest.raises(ValidationError, match="duplicate"):
+                        merge_csr_delta(bad, empty, None, empty)
+                out = merge_csr_delta(seam, np.array([(1 << 32) | 5]), None, empty)
+                assert out.row_ptr.tolist() == [0, 2, 5]
+                assert out.col_idx.tolist() == [1, 4, 4, 5, 6]
 
     def test_t2_metrics_bit_identical(self):
         """The t2 bench values derive from modeled counters, so the whole
@@ -214,6 +228,84 @@ class TestCounterParity:
             jit = metrics()
         assert ref == jit
         assert ref  # sanity: the table actually produced metrics
+
+
+#: Composite keys over a 6-vertex graph (rows 0 and 5 are the first and
+#: last vertex rows; any row the draw misses is empty).
+_MERGE_V = 6
+_merge_keys = st.sets(
+    st.tuples(st.integers(0, _MERGE_V - 1), st.integers(0, _MERGE_V - 1)), max_size=24
+)
+
+
+class TestMergeProperty:
+    """``merge_csr_delta`` equals a cold ``from_coo`` of the same live set,
+    in both tiers, with equal counter deltas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=_merge_keys,
+        delta=st.dictionaries(
+            st.tuples(st.integers(0, _MERGE_V - 1), st.integers(0, _MERGE_V - 1)),
+            st.one_of(st.none(), st.integers(1, 99)),  # None = delete
+            max_size=16,
+        ),
+        weighted=st.booleans(),
+        upsert_weights=st.booleans(),
+    )
+    @example(base=set(), delta={(0, 1): 7, (5, 5): 3}, weighted=True, upsert_weights=True)
+    @example(
+        base={(0, 0), (0, 3), (5, 1), (5, 4)},
+        # (0, 2) is inserted right before the replaced (0, 3).
+        delta={(0, 2): 11, (0, 3): 42, (5, 4): 9, (2, 2): None, (5, 0): None},
+        weighted=True,
+        upsert_weights=True,
+    )
+    def test_matches_cold_rebuild(self, base, delta, weighted, upsert_weights):
+        def comp(pairs):
+            return np.array(sorted((u << 32) | v for u, v in pairs), dtype=np.int64)
+
+        base_comp = comp(base)
+        base_w = (base_comp * 7 + 3) % 101 if weighted else None
+        snap = CSRSnapshot.from_coo(
+            COO(base_comp >> 32, base_comp & 0xFFFFFFFF, _MERGE_V, weights=base_w)
+        )
+        ups = comp(k for k, w in delta.items() if w is not None)
+        dels = comp(k for k, w in delta.items() if w is None)
+        up_w = None
+        if upsert_weights:
+            by_key = {(u << 32) | v: w for (u, v), w in delta.items()}
+            up_w = np.array([by_key[int(c)] for c in ups], dtype=np.int64)
+
+        live = dict(zip(base_comp.tolist(), base_w.tolist() if weighted else [0] * len(base)))
+        for c in dels.tolist():
+            live.pop(c, None)
+        for i, c in enumerate(ups.tolist()):
+            live[c] = int(up_w[i]) if up_w is not None else 0
+        live_comp = np.array(sorted(live), dtype=np.int64)
+        live_w = np.array([live[c] for c in sorted(live)], dtype=np.int64) if weighted else None
+        want = CSRSnapshot.from_coo(
+            COO(live_comp >> 32, live_comp & 0xFFFFFFFF, _MERGE_V, weights=live_w)
+        )
+
+        def run():
+            get_counters().reset()
+            out = merge_csr_delta(snap, ups, up_w, dels)
+            return out, counters_dict()
+
+        ref, ref_counters = run()
+        with use_tier("jit", force=True):
+            jit, jit_counters = run()
+        assert ref_counters == jit_counters
+        for out in (ref, jit):
+            assert out.row_ptr.dtype == np.int64 and out.col_idx.dtype == np.int64
+            assert np.array_equal(out.row_ptr, want.row_ptr)
+            assert np.array_equal(out.col_idx, want.col_idx)
+            if weighted:
+                assert out.weights.dtype == np.int64
+                assert np.array_equal(out.weights, want.weights)
+            else:
+                assert out.weights is None
 
 
 class TestKernelBenchArtifact:

@@ -10,6 +10,8 @@ dynamic TC and the streaming TC to one wedge-closure kernel.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
 from repro.analytics import (
@@ -315,6 +317,10 @@ class TestIncrementalDistances:
         assert inc.last_mode == "incremental"
 
 
+#: (u, d) pairs the k-core stream test maps to edges u -> (u + d) mod 16.
+_EDGE_PAIRS = st.tuples(st.integers(0, 15), st.integers(1, 15))
+
+
 class TestIncrementalKCore:
     def make(self, n=96, seed=13):
         rng = np.random.default_rng(seed)
@@ -344,6 +350,87 @@ class TestIncrementalKCore:
         assert kc.last_mode == "incremental"
         assert got.tolist() == [True, True, True, False, False, False]
         assert np.array_equal(got, kcore_membership(cold_snapshot(g), 2))
+
+    def test_multi_hop_cascade_directed(self):
+        # k=2 over a complete digraph core {0, 1, 2}.  Chain 3 -> 4 -> 5
+        # each points at one core vertex; inserting 5 -> 0 promotes 5, then
+        # 4, then 3 (two reverse hops from the seed).  6 and 7 join the
+        # candidate region but peel away (7 -> 8 leads nowhere).
+        g = Graph.create("slabhash", num_vertices=9)
+        g.insert_edges(
+            [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 6, 7, 7],
+            [1, 2, 0, 2, 0, 1, 0, 4, 1, 5, 2, 3, 7, 6, 8],
+        )
+        kc = IncrementalKCore(g, k=2)
+        assert kc.members().tolist() == [True] * 3 + [False] * 6
+        g.insert_edges([5], [0])
+        got = kc.members()
+        assert kc.last_mode == "incremental"
+        assert got.tolist() == [True] * 6 + [False] * 3
+        assert np.array_equal(got, kcore_membership(cold_snapshot(g), 2))
+
+    def test_multi_hop_cascade_undirected(self):
+        # The triangle {0, 1, 2} is the 2-core; the path 2-3-4-5 dangles.
+        # Closing it with 5-0 promotes 5, 4 and 3 (two hops from the seed
+        # 5), while the 3-6-7 spur stays out.
+        g = Graph.create("slabhash", num_vertices=8, directed=False)
+        g.insert_edges([0, 1, 2, 2, 3, 4, 3, 6], [1, 2, 0, 3, 4, 5, 6, 7])
+        kc = IncrementalKCore(g, k=2)
+        assert kc.members().tolist() == [True] * 3 + [False] * 5
+        g.insert_edges([5], [0])
+        got = kc.members()
+        assert kc.last_mode == "incremental"
+        assert got.tolist() == [True] * 6 + [False] * 2
+        assert np.array_equal(got, kcore_membership(cold_snapshot(g), 2))
+
+    def test_in_edges_from_non_candidates_are_skipped(self):
+        # Feeders 9..14 have out-degree 1 < k: neither core nor candidate,
+        # yet each points into the cascade chain — the edges the reverse
+        # index leaves out.  The repair must still be exact.
+        g = Graph.create("slabhash", num_vertices=15)
+        g.insert_edges(
+            [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5] + list(range(9, 15)),
+            [1, 2, 0, 2, 0, 1, 0, 4, 1, 5, 2] + [3, 4, 5, 3, 4, 5],
+        )
+        kc = IncrementalKCore(g, k=2)
+        old = kc.members()
+        g.insert_edges([5], [0])
+        snap = cold_snapshot(g)
+        candidate = ~old & (snap.out_degrees() >= 2)
+        src = snap.sources()
+        into_cand = candidate[snap.col_idx]
+        assert (into_cand & ~candidate[src] & ~old[src]).sum() == 6
+        got = kc.members()
+        assert kc.last_mode == "incremental"
+        assert got.tolist() == [True] * 6 + [False] * 9
+        assert np.array_equal(got, kcore_membership(snap, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        directed=st.booleans(),
+        k=st.integers(1, 3),
+        base=st.lists(_EDGE_PAIRS, max_size=40),
+        batches=st.lists(st.lists(_EDGE_PAIRS, min_size=1, max_size=12), min_size=1, max_size=4),
+    )
+    def test_insert_only_stream_matches_cold(self, directed, k, base, batches):
+        # The pair mapping never makes a self-loop, so every batch
+        # publishes an event.
+        n = 16
+
+        def edges(pairs):
+            u = np.array([p[0] for p in pairs], dtype=np.int64)
+            return u, (u + np.array([p[1] for p in pairs], dtype=np.int64)) % n
+
+        g = Graph.create("slabhash", num_vertices=n, directed=directed)
+        if base:
+            g.insert_edges(*edges(base))
+        kc = IncrementalKCore(g, k=k)
+        kc.members()  # one-off cold init
+        for batch in batches:
+            g.insert_edges(*edges(batch))
+            got = kc.members()
+            assert kc.last_mode == "incremental"
+            assert np.array_equal(got, kcore_membership(cold_snapshot(g), k))
 
     def test_delete_goes_cold_then_reanchors(self):
         g, rng = self.make()
