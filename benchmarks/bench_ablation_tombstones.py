@@ -45,8 +45,8 @@ def test_insert_after_churn(benchmark, policy):
 
 
 def test_tradeoff_memory_vs_flush_cost():
-    """Tombstones hold more memory; flushing reclaims it but costs a full
-    rebuild pass — the exact trade the paper describes."""
+    """Tombstones hold more memory; flushing reclaims it but costs a pass
+    over every chain (read, repack, free) — the trade the paper describes."""
     g_keep, _ = _churned_graph(flush=False)
     g_flush, _ = _churned_graph(flush=False)
     kept_stats = g_keep.stats()

@@ -216,10 +216,10 @@ class DynamicGraph(GraphBackend):
 
     def rehash(self, vertex_ids=None, load_factor: float | None = None) -> int:
         """Rebuild overloaded (or given) tables at the target load factor;
-        returns how many tables were rebuilt."""
+        returns how many distinct tables were rebuilt."""
         if vertex_ids is None:
             vertex_ids = self.rehash_candidates()
-        vertex_ids = np.atleast_1d(np.asarray(vertex_ids, dtype=np.int64))
+        vertex_ids = np.unique(np.asarray(vertex_ids, dtype=np.int64))
         self._bump_version()
         _rehash.rehash_vertices(self, vertex_ids, load_factor)
         return int(vertex_ids.size)

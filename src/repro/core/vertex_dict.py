@@ -192,7 +192,8 @@ class VertexDictionary:
 
     def check_invariants(self) -> None:
         """Verify the incremental aggregates against the full-array sums,
-        and that every allocated slab's empty lanes form a suffix.
+        that every allocated slab's empty lanes form a suffix, and that the
+        slab free list holds no slab still in use.
 
         O(capacity + slabs); run automatically after each mutation only
         when :attr:`debug_invariants` is set.
@@ -208,6 +209,7 @@ class VertexDictionary:
                 f"num_active counter {self._num_active} != array count {actual_active}"
             )
         self.arena.pool.check_empty_suffix()
+        self.arena.pool.check_free_list(self.arena.table_base, self.arena.table_buckets)
 
     def debug_check(self) -> None:
         """Run :meth:`check_invariants` when :attr:`debug_invariants` is set.

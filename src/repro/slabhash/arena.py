@@ -15,8 +15,10 @@ prefer views, contiguous access, no per-item Python).
 Allocation mirrors SlabAlloc: *base* slabs for a table's buckets are carved
 in one contiguous bump allocation (Section IV-A2: "statically allocating
 all the memory required for the initial buckets in bulk"), while overflow
-slabs come from a free-list allocator and are linked to chain tails.  Only
-vertex deletion returns overflow slabs to the free list (Section IV-D2).
+slabs come from a free-list allocator and are linked to chain tails.
+Overflow slabs return to the free list on vertex deletion (Section IV-D2)
+and when a tombstone flush shortens a chain; a rehash frees a table's
+base slabs too before rebuilding it.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class SlabPool:
 
     def free(self, ids: np.ndarray) -> None:
         """Return slabs to the free list (no validation of double frees in
-        the hot path; tests cover the callers' discipline)."""
+        the hot path; :meth:`check_free_list` verifies it in debug mode)."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return
@@ -167,6 +169,34 @@ class SlabPool:
 
     def free_list_size(self) -> int:
         return int(self._free.shape[0])
+
+    def check_free_list(self, table_base: np.ndarray, table_buckets: np.ndarray) -> None:
+        """Raise if the free list could hand out a slab that is still in use.
+
+        A free slab must appear on the list once, must not be a base slab
+        of a live table (``table_base``/``table_buckets`` as kept by
+        :class:`SlabArena`), and must not be the ``next_slab`` of an
+        allocated slab.  O(pool + tables); run in debug mode only.
+        """
+        free = self._free
+        uniq, counts = np.unique(free, return_counts=True)
+        if uniq.size != free.size:
+            raise AssertionError(f"free list holds slab {int(uniq[counts > 1][0])} twice")
+        is_free = np.zeros(self._bump, dtype=bool)
+        is_free[free] = True
+        live = table_base != NULL_SLAB
+        base = np.zeros(self._bump + 1, dtype=np.int64)
+        np.add.at(base, table_base[live], 1)
+        np.add.at(base, table_base[live] + table_buckets[live], -1)
+        is_base = np.cumsum(base[:-1]) > 0
+        if (is_free & is_base).any():
+            slab = int(np.flatnonzero(is_free & is_base)[0])
+            raise AssertionError(f"free slab {slab} is a live table's base slab")
+        nxt = self.next_slab[: self._bump][~is_free]
+        linked = nxt[nxt != NULL_SLAB]
+        if is_free[linked].any():
+            slab = int(linked[is_free[linked]][0])
+            raise AssertionError(f"free slab {slab} is linked from an allocated slab")
 
     def check_empty_suffix(self) -> None:
         """Raise if an allocated slab holds a key after an empty lane.

@@ -13,11 +13,12 @@ Keys are 32-bit vertex ids.  Two values are reserved:
   slab of a bucket chain — the kernels rely on this to terminate searches
   early.  Within a slab, the empty lanes form a contiguous **suffix** (no
   allocated slab holds a key after an empty lane): inserts claim a slab's
-  empties in lane order, deletes write tombstones rather than empties, and
-  slabs are only ever allocated, recycled or cleared all-empty.  The probe
-  kernels rely on this too: the first empty lane of a slab with ``n``
-  empties is ``Bc - n``, and a slab holds an empty lane iff its last lane
-  is empty.  ``REPRO_DEBUG_COUNTERS`` checks it after every mutating batch
+  empties in lane order, deletes write tombstones rather than empties,
+  slabs are only ever allocated, recycled or cleared all-empty, and a
+  tombstone flush rewrites each slab it keeps as live keys then empties.
+  The probe kernels rely on this too: the first empty lane of a slab with
+  ``n`` empties is ``Bc - n``, and a slab holds an empty lane iff its last
+  lane is empty.  ``REPRO_DEBUG_COUNTERS`` checks it after every mutating batch
   (:meth:`repro.slabhash.arena.SlabPool.check_empty_suffix`).
 - ``TOMBSTONE_KEY`` (0xFFFFFFFE): a deleted key.  Skipped by queries and by
   insertions (Section IV-C2), flushed only by explicit compaction.

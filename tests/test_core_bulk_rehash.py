@@ -1,9 +1,12 @@
 """Tests for bulk/incremental build equivalence and rehashing."""
 
+import faulthandler
+
 import numpy as np
 import pytest
 
 from repro import COO, DynamicGraph
+from repro.api import Graph
 from repro.util.errors import ValidationError
 from tests.conftest import structure_state
 
@@ -145,3 +148,57 @@ class TestRehash:
         g.flush_tombstones()
         assert structure_state(g) == before
         assert g.stats().tombstones == 0
+
+
+class TestDuplicateTableIds:
+    """A table id repeated in one maintenance call is one table: its slabs
+    are freed once and its base slabs are never leaked."""
+
+    @staticmethod
+    def churned_graph():
+        g = Graph.create("slabhash", 200, weighted=True)
+        g.insert_edges(np.zeros(80, np.int64), np.arange(100, 180), np.arange(80))
+        g.insert_edges(np.ones(20, np.int64), np.arange(100, 120), np.arange(20))
+        g.delete_edges(np.zeros(50, np.int64), np.arange(100, 150))
+        return g
+
+    @staticmethod
+    def assert_pool_sound(g):
+        """Checked before any further insert: a doubly freed slab makes the
+        next allocation hand one slab to two chains."""
+        arena = g.backend._dict.arena
+        free = arena.pool._free
+        assert np.unique(free).size == free.size, f"free list repeats a slab: {np.sort(free)}"
+        arena.pool.check_free_list(arena.table_base, arena.table_buckets)
+
+    @pytest.mark.parametrize("op", ["flush_tombstones", "rehash", "delete_vertices"])
+    def test_repeated_id_frees_each_slab_once(self, op):
+        g = self.churned_graph()
+        oracle = structure_state(g)
+        result = getattr(g, op)([0, 0])
+        self.assert_pool_sound(g)
+        if op == "rehash":
+            assert result == 1
+        if op == "delete_vertices":
+            oracle = {k: w for k, w in oracle.items() if 0 not in k}
+        assert structure_state(g) == oracle
+        # A corrupted pool used to hang the next insert; fail instead.
+        faulthandler.dump_traceback_later(30, exit=True)
+        try:
+            g.insert_edges(np.zeros(60, np.int64), np.arange(130, 190), np.arange(60))
+            g.insert_edges([1, 2], [5, 6], [1, 2])
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        oracle.update(((0, d), w) for d, w in zip(range(130, 190), range(60)))
+        oracle.update({(1, 5): 1, (2, 6): 2})
+        assert structure_state(g) == oracle
+        self.assert_pool_sound(g)
+
+    def test_clear_tables_repeated_id(self):
+        g = self.churned_graph()
+        arena = g.backend._dict.arena
+        allocated = arena.pool.num_allocated
+        overflow = int((~arena.table_slabs(np.array([0]))[2]).sum())
+        arena.clear_tables(np.array([0, 0]))
+        self.assert_pool_sound(g)
+        assert arena.pool.num_allocated == allocated - overflow

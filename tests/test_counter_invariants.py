@@ -124,3 +124,32 @@ def test_debug_mode_catches_key_after_empty_lane():
     g._dict.arena.pool.keys[slab, 0] = EMPTY_KEY
     with pytest.raises(AssertionError, match="after an empty lane"):
         g.insert_edges([3], [4], weights=[1])
+
+
+@pytest.mark.parametrize(
+    ("corrupt", "match"),
+    [
+        ("double_free", "twice"),
+        ("free_base", "base slab"),
+        ("free_linked", "linked from an allocated slab"),
+    ],
+)
+def test_debug_mode_catches_corrupted_free_list(corrupt, match):
+    """The free-list debug check fires on a hand-corrupted pool: a slab
+    the allocator could hand out while a chain still owns it."""
+    g = DynamicGraph(num_vertices=64, weighted=True)
+    g._dict.debug_invariants = True
+    g.insert_edges(np.repeat([0, 1], 40), np.tile(np.arange(2, 42), 2), weights=np.arange(80))
+    g.delete_vertices([0])  # frees vertex 0's overflow slabs
+    arena = g._dict.arena
+    pool = arena.pool
+    assert pool.free_list_size() > 0
+    slabs, _, is_base = arena.table_slabs(np.array([1]))
+    if corrupt == "double_free":
+        pool.free(pool._free[:1])
+    elif corrupt == "free_base":
+        pool.free(slabs[is_base][:1])
+    else:
+        pool.free(slabs[~is_base][:1])
+    with pytest.raises(AssertionError, match=match):
+        g._dict.check_invariants()

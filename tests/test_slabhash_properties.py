@@ -5,8 +5,9 @@ flush) against both the vectorized arena and a plain Python dict model; at
 every step the live key/value sets, the success masks, and the structural
 tail invariant must agree.  A second property drives every slab-mutating
 graph operation under both kernel tiers and checks the empty-lane-suffix
-invariant over every allocated slab.  This is the broadest correctness net
-over the paper's core data structure.
+invariant over every allocated slab.  A third checks that a tombstone
+flush repacks every chain in place, in both tiers.  This is the broadest
+correctness net over the paper's core data structure.
 """
 
 import numpy as np
@@ -16,8 +17,16 @@ from hypothesis import strategies as st
 
 from repro.coo import COO
 from repro.core.graph import DynamicGraph
+from repro.gpusim.counters import counting
 from repro.kernels import use_tier
 from repro.slabhash.arena import SlabArena
+from repro.slabhash.constants import (
+    EMPTY_KEY,
+    NULL_SLAB,
+    SLAB_KEY_CAPACITY,
+    SLAB_KV_CAPACITY,
+    TOMBSTONE_KEY,
+)
 from tests.test_slabhash_arena import check_tail_invariant
 
 NUM_TABLES = 4
@@ -236,3 +245,139 @@ def test_empty_lane_suffix_holds_under_every_mutation(weighted, tier, ops):
             else:
                 assert set(got) == set(model)
             assert g.num_edges() == len(model)
+
+
+# -- in-place tombstone compaction ---------------------------------------------
+
+FLUSH_TABLES = 6
+CREATED = np.array([0, 1, 2, 4])  # tables 3 and 5 are never created
+flush_streams = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete"]), st.integers(0, 2**16), st.integers(1, 150)),
+    max_size=6,
+)
+
+
+def _chains(arena, table):
+    """Slab ids of each bucket chain of ``table``, in chain order."""
+    pool = arena.pool
+    chains = []
+    for bucket in range(int(arena.table_buckets[table])):
+        slab, chain = int(arena.table_base[table]) + bucket, []
+        while slab != NULL_SLAB:
+            chain.append(slab)
+            slab = int(pool.next_slab[slab])
+        chains.append(chain)
+    return chains
+
+
+def _live_sequence(arena, chain):
+    """``(keys, values)`` of a chain's live lanes in chain order."""
+    keys = arena.pool.keys[chain].ravel()
+    values = arena.pool.values[chain].ravel() if arena.pool.weighted else np.zeros_like(keys)
+    live = (keys != np.uint32(EMPTY_KEY)) & (keys != np.uint32(TOMBSTONE_KEY))
+    return keys[live].tolist(), values[live].tolist()
+
+
+def _churned_arena(weighted, stream):
+    """Apply seeded insert/delete batches to an arena with undersized
+    tables, so chains run several slabs deep and collect tombstones."""
+    arena = SlabArena(FLUSH_TABLES, weighted=weighted)
+    arena.create_tables(CREATED, np.array([1, 2, 1, 3]))
+    for op, seed, n in stream:
+        rng = np.random.default_rng(seed)
+        t = CREATED[rng.integers(0, CREATED.size, n)]
+        k = rng.integers(0, 4 * arena.pool.lane_capacity, n)
+        if op == "insert":
+            arena.insert(t, k, rng.integers(0, 1000, n))
+        else:
+            arena.delete(t, k)
+    return arena
+
+
+def _check_flush(weighted, build, flush_ids):
+    """Flush ``flush_ids`` on ``build(weighted)`` in both tiers; check
+    every flushed chain is the dense in-place repack of its live sequence,
+    every other table is untouched, and the tiers charge the same
+    counters."""
+    flushed = set(flush_ids) & set(CREATED.tolist())
+    deltas = []
+    for tier in ("reference", "jit"):
+        with use_tier(tier, force=True):
+            arena = build(weighted)
+            pool = arena.pool
+            before = {t: _chains(arena, t) for t in CREATED.tolist()}
+            seqs = {t: [_live_sequence(arena, c) for c in before[t]] for t in flushed}
+            untouched = {
+                t: [(pool.keys[c].copy(), pool.next_slab[c].copy()) for c in before[t]]
+                for t in CREATED.tolist()
+                if t not in flushed
+            }
+            with counting() as delta:
+                arena.flush_tombstones(np.array(flush_ids, dtype=np.int64))
+            deltas.append(delta)
+
+            pool.check_empty_suffix()
+            pool.check_free_list(arena.table_base, arena.table_buckets)
+            total = 0
+            bc = pool.lane_capacity
+            for t in CREATED.tolist():
+                after = _chains(arena, t)
+                total += sum(len(c) for c in after)
+                if t not in flushed:
+                    for c, (keys, nxt) in zip(after, untouched[t]):
+                        assert np.array_equal(pool.keys[c], keys)
+                        assert np.array_equal(pool.next_slab[c], nxt)
+                    continue
+                for old, new, seq in zip(before[t], after, seqs[t]):
+                    live = len(seq[0])
+                    assert new == old[: len(new)]  # compacted where it lies
+                    assert len(new) == max(1, -(-live // bc))
+                    assert _live_sequence(arena, new) == seq
+                    rows = pool.keys[new]
+                    assert not (rows == np.uint32(TOMBSTONE_KEY)).any()
+                    assert not (rows[:-1] == np.uint32(EMPTY_KEY)).any()
+            assert pool.num_allocated == total
+    assert deltas[0] == deltas[1]
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@given(
+    stream=flush_streams,
+    flush_ids=st.lists(st.integers(0, FLUSH_TABLES - 1), max_size=FLUSH_TABLES),
+)
+@settings(max_examples=25, deadline=None)
+def test_flush_repacks_each_chain_in_place(weighted, stream, flush_ids):
+    """Flushing any subset of tables (never-created and repeated ids
+    included) after any insert/delete stream repacks each chain in place."""
+    _check_flush(weighted, lambda w: _churned_arena(w, stream), flush_ids)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize(
+    ("case", "flush_ids"),
+    [
+        ("all_tombstones", [0]),
+        ("exact_multiple", [0]),
+        ("some_tombstones", []),
+        ("some_tombstones", [3, 5]),
+        ("some_tombstones", [0, 2, 0, 0]),
+    ],
+)
+def test_flush_edge_cases(weighted, case, flush_ids):
+    """A four-slab chain the flush must shrink to its base slab or fill
+    exactly; empty, never-created and repeated id lists."""
+    bc = SLAB_KV_CAPACITY if weighted else SLAB_KEY_CAPACITY
+    keys = np.arange(3 * bc + 2)  # one bucket: a four-slab chain
+    deletes = {"all_tombstones": keys, "exact_multiple": keys[: bc + 2]}.get(case, keys[::3])
+
+    def build(w):
+        arena = SlabArena(FLUSH_TABLES, weighted=w)
+        arena.create_tables(CREATED, np.array([1, 2, 1, 3]))
+        arena.insert(np.zeros(keys.size, np.int64), keys, keys * 7)
+        arena.insert(np.full(40, 2), np.arange(40), np.arange(40))
+        arena.delete(np.zeros(deletes.size, np.int64), deletes)
+        arena.delete(np.full(10, 2), np.arange(10))
+        assert [len(c) for c in _chains(arena, 0)] == [4]
+        return arena
+
+    _check_flush(weighted, build, flush_ids)
